@@ -2,7 +2,7 @@
 
 use crate::offline::{ObjectiveEvaluator, SubsetAssignment};
 use amosa::Problem;
-use noc_topology::{ElevatorSet, Mesh3d, NodeId};
+use noc_topology::{ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 use rand::Rng;
 
 /// Searches the space `A = {A_1, …, A_N}` of per-router elevator subsets
@@ -106,25 +106,19 @@ impl ElevatorSubsetProblem {
     fn perturb_node(&self, assignment: &mut SubsetAssignment, rng: &mut dyn rand::RngCore) {
         let node = NodeId(rng.gen_range(0..self.node_count) as u16);
         let mask = assignment.mask(node);
-        let allowed = self.allowed_masks[node.index()];
         let size = mask.count_ones();
-        let present: Vec<u8> = (0..self.elevator_count as u8)
-            .filter(|&b| mask & (1 << b) != 0)
-            .collect();
         // Only elevators inside the locality bound may be added.
-        let absent: Vec<u8> = (0..self.elevator_count as u8)
-            .filter(|&b| mask & (1 << b) == 0 && allowed & (1 << b) != 0)
-            .collect();
+        let absent = !mask & self.allowed_masks[node.index()];
 
         let new_mask = match rng.gen_range(0..4u8) {
             // Add.
-            0 if !absent.is_empty() => mask | (1 << absent[rng.gen_range(0..absent.len())]),
+            0 if absent != 0 => mask | random_member(absent, rng),
             // Remove (keep non-empty).
-            1 if size > 1 => mask & !(1 << present[rng.gen_range(0..present.len())]),
+            1 if size > 1 => mask & !random_member(mask, rng),
             // Swap.
-            2 if !absent.is_empty() => {
-                let added = 1u64 << absent[rng.gen_range(0..absent.len())];
-                let removed = 1u64 << present[rng.gen_range(0..present.len())];
+            2 if absent != 0 => {
+                let added = random_member(absent, rng);
+                let removed = random_member(mask, rng);
                 (mask | added) & !removed | added // re-or in case added == removed bit positions differ
             }
             // Reset to nearest singleton.
@@ -132,7 +126,7 @@ impl ElevatorSubsetProblem {
             // Fallbacks when the chosen move is inapplicable.
             _ => {
                 if size > 1 {
-                    mask & !(1 << present[rng.gen_range(0..present.len())])
+                    mask & !random_member(mask, rng)
                 } else {
                     self.full_mask() & mask | self.nearest_masks[node.index()]
                 }
@@ -141,6 +135,17 @@ impl ElevatorSubsetProblem {
         debug_assert_ne!(new_mask, 0);
         assignment.set_mask(node, new_mask);
     }
+}
+
+/// One member of `bits`, drawn uniformly as its `k`-th set bit in
+/// ascending order — the same single `gen_range(0..count)` draw as indexing
+/// a list of the members.
+fn random_member(bits: u64, rng: &mut dyn rand::RngCore) -> u64 {
+    let mut rest = bits;
+    for _ in 0..rng.gen_range(0..bits.count_ones() as usize) {
+        rest &= rest - 1;
+    }
+    1 << rest.trailing_zeros()
 }
 
 impl Problem for ElevatorSubsetProblem {
@@ -156,10 +161,9 @@ impl Problem for ElevatorSubsetProblem {
         let masks: Vec<u64> = (0..self.node_count)
             .map(|i| {
                 let mut mask = self.nearest_masks[i];
-                let allowed = self.allowed_masks[i];
-                for bit in 0..self.elevator_count as u8 {
-                    if allowed & (1 << bit) != 0 && rng.gen_bool(self.extra_probability) {
-                        mask |= 1 << bit;
+                for e in ElevatorMask::from_bits(self.allowed_masks[i]).iter() {
+                    if rng.gen_bool(self.extra_probability) {
+                        mask |= 1 << e.index();
                     }
                 }
                 mask

@@ -1,5 +1,5 @@
 use crate::AdeleError;
-use noc_topology::{ElevatorId, ElevatorSet, Mesh3d, NodeId};
+use noc_topology::{ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 
 /// One elevator subset (`A_i ⊆ E`) per router — the output of AdEle's
 /// offline stage and the input of its online stage.
@@ -120,10 +120,7 @@ impl SubsetAssignment {
 
     /// Iterates over `node`'s subset in ascending elevator-id order.
     pub fn subset(&self, node: NodeId) -> impl Iterator<Item = ElevatorId> + '_ {
-        let mask = self.masks[node.index()];
-        (0..64u8)
-            .filter(move |&bit| mask & (1u64 << bit) != 0)
-            .map(ElevatorId)
+        ElevatorMask::from_bits(self.masks[node.index()]).iter()
     }
 
     /// `true` if `node`'s subset contains `elevator`.

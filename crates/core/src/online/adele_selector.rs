@@ -189,12 +189,15 @@ impl ElevatorSelector for AdeleSelector {
     fn select(&mut self, ctx: &SelectionContext<'_>) -> ElevatorId {
         let failed = self.failed;
         let state = &mut self.nodes[ctx.src_id.index()];
-        let alive_subset: Vec<ElevatorId> = state
-            .subset
-            .iter()
-            .copied()
-            .filter(|&e| !failed.contains(e))
-            .collect();
+        // The subset minus failed elevators, in subset order, on the stack
+        // (subsets are masks over at most 64 elevators).
+        let mut alive_buffer = [ElevatorId(0); 64];
+        let mut alive_len = 0;
+        for &e in state.subset.iter().filter(|&&e| !failed.contains(e)) {
+            alive_buffer[alive_len] = e;
+            alive_len += 1;
+        }
+        let alive_subset = &alive_buffer[..alive_len];
 
         // Whole subset failed: fall back to the nearest surviving elevator
         // in the full set (fault-tolerance extension).

@@ -124,18 +124,19 @@ impl ElevatorSelector for CdaSelector {
             // Occupancy along source → elevator (source layer), including
             // the pillar router on the source layer. CDA's metric stops at
             // the elevator: the destination plays no role.
-            let to_elevator = route::route_coords(
+            let to_elevator = route::route_walk(
                 ctx.src,
                 noc_topology::Coord::new(pillar.x, pillar.y, ctx.src.z),
                 None,
             );
-            let mut occupancy = 0.0;
-            for &coord in &to_elevator {
+            let (mut occupancy, mut routers) = (0.0, 0usize);
+            for coord in to_elevator {
                 let node = ctx.probe.node_at(coord);
                 let instantaneous = f64::from(ctx.probe.buffer_occupancy(node));
                 occupancy += self.sample(node, instantaneous);
+                routers += 1;
             }
-            let mean_occupancy = occupancy / (to_elevator.len() as f64 * capacity);
+            let mean_occupancy = occupancy / (routers as f64 * capacity);
             let d_se = ctx.elevators.xy_distance(ctx.src, id);
             let score = self.config.congestion_weight * mean_occupancy
                 + self.config.distance_weight * (d_se as f64 / max_len);

@@ -5,9 +5,10 @@
 use adele::offline::{ElevatorSubsetProblem, ObjectiveEvaluator, SubsetAssignment};
 use adele::online::{skip_probability, AdeleSelector, ElevatorSelector, SourceFeedback};
 use amosa::Problem;
-use noc_topology::{ElevatorId, ElevatorSet, Mesh3d, NodeId};
+use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d, NodeId};
+use noc_traffic::TrafficMatrix;
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 
 fn arb_topology() -> impl Strategy<Value = (Mesh3d, ElevatorSet)> {
     (2usize..=5, 2usize..=5, 2usize..=4).prop_flat_map(|(x, y, z)| {
@@ -17,6 +18,64 @@ fn arb_topology() -> impl Strategy<Value = (Mesh3d, ElevatorSet)> {
             (mesh, set)
         })
     })
+}
+
+/// Eq. 1–5 written out directly: the pair loop over `traffic`, then every
+/// subset walked by testing all 64 bit positions.
+fn reference_objectives(
+    mesh: &Mesh3d,
+    elevators: &ElevatorSet,
+    traffic: &TrafficMatrix,
+    masks: &[u64],
+) -> (f64, f64) {
+    let n = mesh.node_count();
+    let e_count = elevators.len();
+    let mut weight = vec![0.0; n];
+    let mut sums = vec![0.0; n * e_count];
+    let mut total_weight = 0.0;
+    for i in mesh.node_ids() {
+        let ci = mesh.coord(i);
+        for j in mesh.node_ids() {
+            let cj = mesh.coord(j);
+            let f = traffic.row(i)[j.index()];
+            if ci.z == cj.z || f == 0.0 {
+                continue;
+            }
+            weight[i.index()] += f;
+            let dz = f64::from(ci.z.abs_diff(cj.z));
+            for (e, (ex, ey)) in elevators.iter() {
+                let d_se = f64::from(ci.xy_distance(Coord::new(ex, ey, ci.z)));
+                let d_ed = f64::from(Coord::new(ex, ey, cj.z).xy_distance(cj));
+                sums[i.index() * e_count + e.index()] += f * (d_se + dz + d_ed);
+            }
+        }
+        total_weight += weight[i.index()];
+    }
+    let members = |mask: u64| (0..64).filter(move |&b| mask & (1u64 << b) != 0);
+    let mut utilization = vec![0.0; e_count];
+    for (i, &mask) in masks.iter().enumerate() {
+        let share = weight[i] / mask.count_ones() as f64;
+        for b in members(mask) {
+            utilization[b] += share;
+        }
+    }
+    let mean = utilization.iter().sum::<f64>() / e_count as f64;
+    let variance = utilization
+        .iter()
+        .map(|&x| (x - mean) * (x - mean))
+        .sum::<f64>()
+        / e_count as f64;
+    if total_weight == 0.0 {
+        return (variance, 0.0);
+    }
+    let mut total = 0.0;
+    for (i, &mask) in masks.iter().enumerate() {
+        let inv = 1.0 / mask.count_ones() as f64;
+        for b in members(mask) {
+            total += inv * sums[i * e_count + b];
+        }
+    }
+    (variance, total / total_weight)
 }
 
 proptest! {
@@ -66,6 +125,37 @@ proptest! {
 
         let full = SubsetAssignment::full(&mesh, &elevators);
         prop_assert!(evaluator.utilization_variance(&full) < 1e-15);
+    }
+
+    /// The uniform evaluator, the evaluator over the explicit uniform
+    /// matrix and the direct Eq. 1–5 reference agree to the bit on
+    /// arbitrary valid subsets.
+    #[test]
+    fn uniform_objectives_match_reference_bit_for_bit(
+        (mesh, elevators) in arb_topology(),
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let valid = (1u64 << elevators.len()) - 1;
+        let masks: Vec<u64> = (0..mesh.node_count())
+            .map(|_| loop {
+                let mask = rng.next_u64() & valid;
+                if mask != 0 {
+                    break mask;
+                }
+            })
+            .collect();
+        let assignment = SubsetAssignment::from_masks(masks.clone(), elevators.len()).unwrap();
+        let matrix = TrafficMatrix::uniform(mesh.node_count());
+        let (v_ref, d_ref) = reference_objectives(&mesh, &elevators, &matrix, &masks);
+        for evaluator in [
+            ObjectiveEvaluator::uniform(&mesh, &elevators),
+            ObjectiveEvaluator::with_traffic(&mesh, &elevators, &matrix),
+        ] {
+            let (v, d) = evaluator.evaluate(&assignment);
+            prop_assert_eq!(v.to_bits(), v_ref.to_bits(), "variance {} vs {}", v, v_ref);
+            prop_assert_eq!(d.to_bits(), d_ref.to_bits(), "distance {} vs {}", d, d_ref);
+        }
     }
 
     /// The AMOSA neighbourhood never produces an invalid assignment, even

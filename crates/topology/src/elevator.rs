@@ -89,6 +89,25 @@ impl ElevatorMask {
     pub fn bits(self) -> u64 {
         self.0
     }
+
+    /// Wraps raw bits (bit `i` = elevator `i`).
+    #[must_use]
+    pub const fn from_bits(bits: u64) -> Self {
+        ElevatorMask(bits)
+    }
+
+    /// The members in ascending id order, visiting only the set bits.
+    pub fn iter(self) -> impl Iterator<Item = ElevatorId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let id = ElevatorId(bits.trailing_zeros() as u8);
+            bits &= bits - 1;
+            Some(id)
+        })
+    }
 }
 
 /// The set of vertical-link columns of a PC-3DNoC.
@@ -440,6 +459,18 @@ mod tests {
         assert!(!m.contains(ElevatorId(3)));
         assert_eq!(m.bits(), 1 << 63);
         assert_eq!(ElevatorMask::default(), ElevatorMask::EMPTY);
+    }
+
+    #[test]
+    fn mask_iterates_set_bits_in_ascending_order() {
+        for bits in [0u64, 1, 0b1011_0100, u64::MAX, 1 << 63 | 1] {
+            let walked: Vec<ElevatorId> = ElevatorMask::from_bits(bits).iter().collect();
+            let filtered: Vec<ElevatorId> = (0..64u8)
+                .filter(|&b| bits & (1 << b) != 0)
+                .map(ElevatorId)
+                .collect();
+            assert_eq!(walked, filtered, "{bits:#x}");
+        }
     }
 
     #[test]

@@ -179,35 +179,50 @@ pub fn route_length(src: Coord, dst: Coord, elevator: Option<ElevatorCoord>) -> 
     src.xy_distance(pillar_src) + (src.z.abs_diff(dst.z) as u32) + pillar_dst.xy_distance(dst)
 }
 
-/// Enumerates the router coordinates visited by the full Elevator-First
-/// route, **including** both endpoints. Used by the CDA baseline to sum
-/// buffer occupancy along a candidate path.
-#[must_use]
-pub fn route_coords(src: Coord, dst: Coord, elevator: Option<ElevatorCoord>) -> Vec<Coord> {
-    let mut path = vec![src];
-    let mut cur = src;
+/// Walks the router coordinates visited by the full Elevator-First route,
+/// **including** both endpoints, without allocating. Used by the CDA
+/// baseline to sum buffer occupancy along a candidate path.
+///
+/// # Panics
+///
+/// Panics (while iterating) if the route does not reach `dst` within a
+/// bound far above any mesh diameter — a logic error, not a data case.
+pub fn route_walk(
+    src: Coord,
+    dst: Coord,
+    elevator: Option<ElevatorCoord>,
+) -> impl Iterator<Item = Coord> {
     // Route lengths are bounded by mesh diameter, but guard against a logic
     // error producing a loop.
     let limit = 4 * (Coord::new(0, 0, 0).manhattan(Coord::new(63, 63, 63)) as usize) + 8;
-    for _ in 0..limit {
-        if cur == dst {
-            return path;
-        }
-        let dir = route_step(cur, dst, elevator);
-        debug_assert_ne!(dir, Direction::Local);
-        let next = match dir {
-            Direction::East => Coord::new(cur.x + 1, cur.y, cur.z),
-            Direction::West => Coord::new(cur.x - 1, cur.y, cur.z),
-            Direction::North => Coord::new(cur.x, cur.y + 1, cur.z),
-            Direction::South => Coord::new(cur.x, cur.y - 1, cur.z),
-            Direction::Up => Coord::new(cur.x, cur.y, cur.z + 1),
-            Direction::Down => Coord::new(cur.x, cur.y, cur.z - 1),
-            Direction::Local => unreachable!("handled by cur == dst"),
-        };
-        path.push(next);
-        cur = next;
-    }
-    unreachable!("route from {src} to {dst} did not terminate");
+    let mut steps = 0;
+    let mut next = Some(src);
+    std::iter::from_fn(move || {
+        let cur = next?;
+        next = (cur != dst).then(|| {
+            steps += 1;
+            assert!(
+                steps <= limit,
+                "route from {src} to {dst} did not terminate"
+            );
+            match route_step(cur, dst, elevator) {
+                Direction::East => Coord::new(cur.x + 1, cur.y, cur.z),
+                Direction::West => Coord::new(cur.x - 1, cur.y, cur.z),
+                Direction::North => Coord::new(cur.x, cur.y + 1, cur.z),
+                Direction::South => Coord::new(cur.x, cur.y - 1, cur.z),
+                Direction::Up => Coord::new(cur.x, cur.y, cur.z + 1),
+                Direction::Down => Coord::new(cur.x, cur.y, cur.z - 1),
+                Direction::Local => unreachable!("handled by cur == dst"),
+            }
+        });
+        Some(cur)
+    })
+}
+
+/// [`route_walk`], collected.
+#[must_use]
+pub fn route_coords(src: Coord, dst: Coord, elevator: Option<ElevatorCoord>) -> Vec<Coord> {
+    route_walk(src, dst, elevator).collect()
 }
 
 #[cfg(test)]

@@ -3,11 +3,13 @@
 //! different seeds genuinely change the stochastic components.
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy};
-use adele_bench::{make_selector, Policy, Workload};
+use adele_bench::{make_selector, pillar_grid, Policy, Workload};
 use amosa::AmosaParams;
+use noc_exp::fnv1a;
 use noc_sim::harness::run_once;
 use noc_sim::SimConfig;
 use noc_topology::placement::Placement;
+use noc_topology::{ElevatorSet, Mesh3d};
 
 fn run_full_stack(sim_seed: u64, traffic_seed: u64, amosa_seed: u64) -> noc_sim::RunSummary {
     let (mesh, elevators) = Placement::Ps1.instantiate();
@@ -80,6 +82,24 @@ fn traffic_seed_changes_results() {
     assert!(
         a.avg_latency != b.avg_latency || a.delivered_packets != b.delivered_packets,
         "different traffic seeds should perturb results"
+    );
+}
+
+/// The balanced AMOSA pick on the 16×16×8 pillar grid (the benchmark's
+/// loaded mesh), pinned as the FNV-1a hash of its text form: any change
+/// to the evaluator tables, the objective loops or the search moves'
+/// random draws moves it.
+#[test]
+fn large_mesh_offline_pick_is_pinned() {
+    let mesh = Mesh3d::new(16, 16, 8).unwrap();
+    let elevators = ElevatorSet::new(&mesh, pillar_grid(16, 16)).unwrap();
+    let offline = OfflineOptimizer::new(mesh, elevators)
+        .with_params(AmosaParams::fast(0xADE1E))
+        .optimize();
+    let pick = &offline.select(SelectionStrategy::balanced()).assignment;
+    assert_eq!(
+        format!("{:016x}", fnv1a(pick.to_text().as_bytes())),
+        "a229cb62d5522fdc"
     );
 }
 
